@@ -10,7 +10,7 @@ BENCH_GATE     ?= BENCH_gate.json
 # The hot-path allowlist the benchmark gate enforces (everything else
 # stays advisory via benchcmp). Names are post-GOMAXPROCS-strip; the $$
 # doubling is Makefile escaping for a literal $.
-GATE_ALLOW     ?= ^(BenchmarkIngestBatch|BenchmarkQueryInvalidated|BenchmarkStreamIngest256|BenchmarkSnapshotIncremental/keys=16384|BenchmarkClusterQuery|BenchmarkScatterGather/cluster-64k-3nodes|BenchmarkScatterGather/single-16k|BenchmarkSyncDeadNode)$$
+GATE_ALLOW     ?= ^(BenchmarkIngestBatch|BenchmarkQueryInvalidated|BenchmarkStreamIngest256|BenchmarkSnapshotIncremental/keys=16384|BenchmarkClusterQuery|BenchmarkScatterGather/cluster-64k-3nodes|BenchmarkScatterGather/single-16k|BenchmarkSyncDeadNode|BenchmarkIngestWAL/fsync=never)$$
 # The matching `go test -bench` selectors. Two because go's slash-
 # segmented pattern treats a two-segment regex as sub-benchmark-only: a
 # leaf benchmark (no b.Run) never reports under it. The cluster pair
@@ -19,6 +19,10 @@ GATE_ALLOW     ?= ^(BenchmarkIngestBatch|BenchmarkQueryInvalidated|BenchmarkStre
 GATE_BENCH     ?= ^(BenchmarkIngestBatch|BenchmarkQueryInvalidated|BenchmarkStreamIngest256)$$
 GATE_BENCH_SUB ?= ^BenchmarkSnapshotIncremental$$/^keys=16384$$
 GATE_BENCH_CLUSTER ?= ^(BenchmarkClusterQuery|BenchmarkScatterGather|BenchmarkSyncDeadNode)$$
+# The WAL's journaling cost. It runs at 2000x, not 100x: its batches cycle
+# through 64 distinct slices, so the first 64 iterations are cold-key
+# inserts that would drown the WAL cost at 100x.
+GATE_BENCH_WAL ?= ^BenchmarkIngestWAL$$/^fsync=never$$
 GATE_MAX       ?= 1.30
 
 .PHONY: build test race bench bench-baseline benchcmp benchgate e2e chaos lint
@@ -26,11 +30,14 @@ GATE_MAX       ?= 1.30
 build:
 	$(GO) build ./...
 
+# Explicit per-package timeouts, so a wedged test fails with a goroutine
+# dump instead of Go's default 10 silent minutes. The slowest package
+# takes about 11s plain and 46s under -race on a 2-vCPU box.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 180s ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 300s ./...
 
 # One iteration per benchmark, emitted as test2json lines: cheap enough
 # for every push, structured enough to accumulate a perf trajectory from
@@ -48,6 +55,7 @@ bench-baseline:
 	$(GO) test -json -run xxx -bench '$(GATE_BENCH)' -benchtime 100x -count 3 ./internal/engine/ ./internal/server/ >> $(BENCH_BASELINE)
 	$(GO) test -json -run xxx -bench '$(GATE_BENCH_SUB)' -benchtime 100x -count 3 ./internal/engine/ >> $(BENCH_BASELINE)
 	$(GO) test -json -run xxx -bench '$(GATE_BENCH_CLUSTER)' -benchtime 100x -count 3 ./internal/cluster/ >> $(BENCH_BASELINE)
+	$(GO) test -json -run xxx -bench '$(GATE_BENCH_WAL)' -benchtime 2000x -count 3 ./internal/store/ >> $(BENCH_BASELINE)
 	@echo "baseline regenerated in $(BENCH_BASELINE)"
 
 # Compares a bench run against the committed baseline
@@ -81,6 +89,7 @@ benchgate:
 	$(GO) test -json -run xxx -bench '$(GATE_BENCH)' -benchtime 100x -count 3 ./internal/engine/ ./internal/server/ > $(BENCH_GATE)
 	$(GO) test -json -run xxx -bench '$(GATE_BENCH_SUB)' -benchtime 100x -count 3 ./internal/engine/ >> $(BENCH_GATE)
 	$(GO) test -json -run xxx -bench '$(GATE_BENCH_CLUSTER)' -benchtime 100x -count 3 ./internal/cluster/ >> $(BENCH_GATE)
+	$(GO) test -json -run xxx -bench '$(GATE_BENCH_WAL)' -benchtime 2000x -count 3 ./internal/store/ >> $(BENCH_GATE)
 	$(GO) run ./cmd/benchtext -gate -allow '$(GATE_ALLOW)' -max-regress $(GATE_MAX) $(BENCH_BASELINE) $(BENCH_GATE)
 
 # Full-wire end-to-end: builds monestd + loadgen, boots the daemon with a

@@ -33,18 +33,23 @@ type Update struct {
 }
 
 // Journal durably records accepted updates — the engine's write-ahead
-// hook. Append is called with batches of validated, non-zero-weight
-// updates UNDER THE OWNING SHARD'S LOCK, immediately before they are
-// applied in the same critical section. That placement is what makes
-// checkpoints sound: any consistent cut (which acquires every shard lock)
-// observes the application of every batch journaled before it, so a
-// store that rotates its WAL before cutting can prune the closed tail
-// without losing an update. Replay may observe batches in a different
-// interleaving than they were applied in: the sketch fold is commutative
-// and idempotent under max semantics (the batch-equivalence tests prove
-// order-independence), so any replay order reproduces the same state.
-// Implementations must be safe for concurrent use, must not retain the
-// batch slice past the call, and must never call back into the engine.
+// hook. Every Ingest or IngestBatch call with at least one non-zero
+// update makes exactly one Append, with all of that call's validated,
+// non-zero-weight updates, before any of them is applied and outside
+// every shard lock; a failed Append applies nothing.
+//
+// Checkpoint soundness rests on the engine's journal fence: a call holds
+// its read side from Append until its last shard is applied, and
+// DumpState takes the write side before its all-shard cut. So a cut
+// observes the full application of every batch whose Append returned
+// before the cut began, and a store that rotates its WAL before cutting
+// can prune the closed tail without losing an update. Replay may observe
+// batches in a different interleaving than they were applied in: the
+// sketch fold is commutative and idempotent under max semantics (the
+// batch-equivalence tests prove order-independence), so any replay order
+// reproduces the same state. Implementations must be safe for concurrent
+// use, must not retain the batch slice past the call, and must never
+// call back into the engine.
 type Journal interface {
 	Append(batch []Update) error
 }
@@ -59,6 +64,11 @@ type Engine struct {
 	// journal, when set, receives every accepted update batch before it is
 	// applied (write-ahead). Set via SetJournal before concurrent use.
 	journal Journal
+	// fence orders journaled ingest against DumpState (see Journal):
+	// journaled calls hold the read side from Append through their last
+	// shard; DumpState takes the write side. Engines without a journal
+	// never touch it on the ingest path.
+	fence sync.RWMutex
 	// cache is the last reduced snapshot with the version it was cut at;
 	// CachedSnapshot serves it lock-free while the version holds, and
 	// rebuildMu single-flights cache-miss rebuilds.
@@ -139,18 +149,16 @@ func (e *Engine) Ingest(instance int, key uint64, weight float64) error {
 	if weight == 0 {
 		return nil
 	}
-	sh := e.shards[e.shardOf(key)]
-	sh.mu.Lock()
-	// Write-ahead under the shard lock: journaled-then-applied is one
-	// critical section, so a checkpoint cut never misses a journaled
-	// update (see Journal). A journal error rejects the update unapplied.
 	if e.journal != nil {
+		e.fence.RLock()
+		defer e.fence.RUnlock()
 		one := [1]Update{{Instance: instance, Key: key, Weight: weight}}
 		if err := e.journal.Append(one[:]); err != nil {
-			sh.mu.Unlock()
 			return fmt.Errorf("engine: journal: %w", err)
 		}
 	}
+	sh := e.shards[e.shardOf(key)]
+	sh.mu.Lock()
 	// Counters bump under the shard lock so a consistent cut (Snapshot,
 	// Stats) reads version and traffic exactly as of the cut. Version
 	// counts mutations only; Ingests counts accepted operations.
@@ -174,10 +182,12 @@ type batchScratch struct {
 }
 
 // IngestBatch folds a batch of observations, taking each shard lock at
-// most once. The batch is validated up front and applied atomically per
-// shard (not across shards). Bucketing is a two-pass slice scheme (count
-// per shard, then fill a shard-ordered copy) over pooled scratch, so the
-// steady state allocates nothing.
+// most once. The batch is validated up front; with a journal attached it
+// is journaled as one record before anything is applied, so a validation
+// or journal error applies nothing. A concurrent reader may still see
+// some shards of the batch applied before others. Bucketing is a
+// two-pass slice scheme (count per shard, then fill a shard-ordered copy)
+// over pooled scratch, so the steady state allocates nothing.
 func (e *Engine) IngestBatch(updates []Update) error {
 	for j, u := range updates {
 		if err := e.check(u.Instance, u.Weight); err != nil {
@@ -226,6 +236,13 @@ func (e *Engine) IngestBatch(updates []Update) error {
 		buf[counts[s]] = u
 		counts[s]++
 	}
+	if e.journal != nil {
+		e.fence.RLock()
+		defer e.fence.RUnlock()
+		if err := e.journal.Append(buf); err != nil {
+			return fmt.Errorf("engine: journal: %w", err)
+		}
+	}
 	lo := 0
 	batchMuts := uint64(0)
 	for s := 0; s < ns; s++ {
@@ -235,17 +252,6 @@ func (e *Engine) IngestBatch(updates []Update) error {
 		}
 		sh := e.shards[s]
 		sh.mu.Lock()
-		// Write-ahead per shard, inside the shard's critical section (see
-		// Journal): each shard's sub-batch is one WAL record. A journal
-		// error aborts the batch mid-way — shards already walked keep
-		// their (journaled) updates, later shards see nothing, matching
-		// the documented per-shard (not cross-shard) atomicity.
-		if e.journal != nil {
-			if err := e.journal.Append(buf[lo:hi]); err != nil {
-				sh.mu.Unlock()
-				return fmt.Errorf("engine: journal (batch partially applied): %w", err)
-			}
-		}
 		muts := uint64(0)
 		for _, u := range buf[lo:hi] {
 			if sh.ingest(e, u.Instance, u.Key, u.Weight) {

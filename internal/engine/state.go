@@ -80,7 +80,9 @@ func seedCheck(h sampling.SeedHash) [2]float64 {
 // DumpState serializes the engine's contents as one consistent cut: all
 // shard locks are held while keys, masks, heap entries and counters are
 // copied out, then the copy is sorted lock-free. The result shares no
-// memory with the engine.
+// memory with the engine. The cut first takes the journal fence's write
+// side (see Journal), so every batch whose journal append returned
+// before DumpState was called is fully applied in the cut — never half.
 func (e *Engine) DumpState() *State {
 	mw := e.maskWords
 	st := &State{
@@ -90,9 +92,15 @@ func (e *Engine) DumpState() *State {
 		SeedCheck: seedCheck(e.cfg.Hash),
 		Entries:   make([][]StateEntry, e.cfg.Instances),
 	}
+	// The fence only has to drain journaled batches already in flight:
+	// once every shard lock is held no batch can apply anything, so later
+	// ones may journal (into the segment a checkpoint rotated to) while
+	// the copy runs.
+	e.fence.Lock()
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
+	e.fence.Unlock()
 	total := 0
 	for _, sh := range e.shards {
 		total += len(sh.items)

@@ -169,14 +169,19 @@ func TestMergeStateBumpsVersion(t *testing.T) {
 	}
 }
 
-// journalRecorder captures journaled batches and can inject failures.
+// journalRecorder captures journaled batches and can inject failures:
+// every Append fails with fail when failAt is 0, otherwise only the
+// failAt-th (1-based) does.
 type journalRecorder struct {
 	batches [][]Update
 	fail    error
+	failAt  int
+	calls   int
 }
 
 func (j *journalRecorder) Append(batch []Update) error {
-	if j.fail != nil {
+	j.calls++
+	if j.fail != nil && (j.failAt == 0 || j.calls == j.failAt) {
 		return j.fail
 	}
 	cp := make([]Update, len(batch))
@@ -220,6 +225,59 @@ func TestJournalReceivesAcceptedUpdates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.Snapshot(), e.Snapshot()) {
 		t.Fatal("journal replay does not reproduce the engine state")
+	}
+}
+
+// TestJournaledBatchesAreAtomic fails the k-th journal append under a
+// stream of multi-shard batches: each IngestBatch must journal exactly
+// one record holding its non-zero updates, and the engine must end up
+// equal to an oracle fed exactly the batches whose append succeeded —
+// a failed append applies nothing, on any shard.
+func TestJournaledBatchesAreAtomic(t *testing.T) {
+	boom := errors.New("disk full")
+	for failAt := 1; failAt <= 6; failAt++ {
+		rng := rand.New(rand.NewSource(int64(failAt)))
+		e, _ := New(testConfig(8))
+		j := &journalRecorder{fail: boom, failAt: failAt}
+		e.SetJournal(j)
+		oracle, _ := New(testConfig(8))
+		for b := 1; b <= 6; b++ {
+			batch := randomUpdates(rng, 40, 3, 500)
+			batch[0].Weight = 0 // zero weights are never journaled
+			shards := map[int]bool{}
+			for _, u := range batch {
+				shards[e.shardOf(u.Key)] = true
+			}
+			if len(shards) < 2 {
+				t.Fatalf("batch %d touches %d shard(s); the test needs multi-shard batches", b, len(shards))
+			}
+			records := len(j.batches)
+			err := e.IngestBatch(batch)
+			if b == failAt {
+				if !errors.Is(err, boom) {
+					t.Fatalf("failAt=%d: IngestBatch error %v, want wrapped journal error", failAt, err)
+				}
+				if len(j.batches) != records {
+					t.Fatalf("failAt=%d: failed batch left %d journal records", failAt, len(j.batches)-records)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(j.batches) - records; got != 1 {
+				t.Fatalf("failAt=%d batch %d: journaled %d records, want exactly 1", failAt, b, got)
+			}
+			if got := len(j.batches[records]); got != len(batch)-1 {
+				t.Fatalf("failAt=%d batch %d: record holds %d updates, want %d", failAt, b, got, len(batch)-1)
+			}
+			if err := oracle.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(e.DumpState(), oracle.DumpState()) {
+			t.Fatalf("failAt=%d: engine state differs from the oracle fed only the journaled batches", failAt)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,6 +41,11 @@ import (
 // are skipped — not re-applied, not rate-charged, not re-counted — so a
 // coordinator retrying a routed batch whose response was lost keeps the
 // node's counters exact (see idempotency.go).
+
+// scanners pools frame scanners across /v1/stream requests: each holds a
+// 64 KiB read buffer plus frame and batch scratch, which would otherwise
+// be fresh garbage per request.
+var scanners = sync.Pool{New: func() any { return store.NewFrameScanner(nil) }}
 
 // wireStats counts streaming-ingest and subscription traffic; all fields
 // are atomics shared by handlers, the broadcaster and /v1/stats.
@@ -129,7 +135,12 @@ func (s *Server) handleStream(r *http.Request) (int, any, error) {
 	s.wire.streamsActive.Add(1)
 	defer s.wire.streamsActive.Add(-1)
 
-	sc := store.NewFrameScanner(r.Body)
+	sc := scanners.Get().(*store.FrameScanner)
+	sc.Reset(r.Body)
+	defer func() {
+		sc.Reset(nil)
+		scanners.Put(sc)
+	}()
 	frames, updates := 0, 0
 	skippedFrames, skippedUpdates := 0, 0
 	seq := 0 // frame position in the stream, skipped frames included

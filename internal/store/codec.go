@@ -50,6 +50,11 @@ const (
 	maxRecordBytes = 64 << 20
 
 	updateBytes = 4 + 8 + 8
+
+	// maxRecordUpdates is the largest batch one record can hold; Append
+	// rejects a longer one rather than write a record recovery would
+	// judge corrupt (truncating the WAL there, with every later record).
+	maxRecordUpdates = (maxRecordBytes - 4) / updateBytes
 )
 
 // appendUpdates encodes a batch as one WAL record payload.

@@ -292,9 +292,13 @@ func (f *fileStore) openSegment(seq uint64) error {
 
 // Append writes one batch as a single framed record, flushing per the
 // fsync policy. It is the engine's write-ahead Journal: the engine calls
-// it before applying the batch, so an error here means nothing was
-// applied.
+// it once per ingest call before applying the batch, so an error here
+// means nothing was applied. A batch over maxRecordUpdates is rejected
+// before anything is encoded or written.
 func (f *fileStore) Append(batch []engine.Update) error {
+	if len(batch) > maxRecordUpdates {
+		return fmt.Errorf("store: wal append: batch of %d updates exceeds the %d-update record limit", len(batch), maxRecordUpdates)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.appendable(); err != nil {
@@ -366,13 +370,13 @@ func (f *fileStore) syncLoop() {
 // Checkpoint persists a state cut atomically (temp file + fsync +
 // rename + dir fsync) and prunes WAL segments and older checkpoints it
 // makes obsolete. Ordering is the crux: the WAL is rotated to a fresh
-// segment FIRST, and only then is cut() invoked. Updates are journaled
-// and applied inside one shard critical section and the cut acquires
-// every shard lock, so every record in the closed segments is visible to
-// the cut — the closed tail can be pruned with nothing lost. Appends
-// racing the cut land in the new segment; the cut may already include
-// some of them, and replaying those on recovery is an idempotent no-op
-// under max semantics.
+// segment FIRST, and only then is cut() invoked. Every record in the
+// closed segments was appended before the rotation, and the engine's cut
+// (DumpState) waits on its journal fence until each batch so journaled
+// is fully applied — so the closed tail can be pruned with nothing lost.
+// Appends racing the cut land in the new segment; the cut may already
+// include some of them, and replaying those on recovery is an idempotent
+// no-op under max semantics.
 func (f *fileStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error) {
 	f.mu.Lock()
 	if err := f.appendable(); err != nil {
@@ -385,8 +389,8 @@ func (f *fileStore) Checkpoint(cut func() *engine.State) (CheckpointStats, error
 	}
 	first := f.segSeq
 	f.mu.Unlock()
-	// The cut happens outside the append lock: it takes the engine's
-	// shard locks, which in-flight appenders hold while waiting for the
+	// The cut happens outside the append lock: it waits for in-flight
+	// batches, which hold the engine's journal fence while waiting for the
 	// append lock — cutting under f.mu would deadlock.
 	st := cut()
 

@@ -10,8 +10,9 @@
 // a WAL tail that overlaps the checkpoint cut — re-applying an already
 // checkpointed update is a dominated-duplicate no-op. The file backend
 // exploits this by rotating to a fresh WAL segment before cutting the
-// checkpoint: no coordination between appenders and the checkpointer is
-// needed beyond the rotation itself.
+// checkpoint: beyond the rotation, the only coordination between
+// appenders and the checkpointer is the engine's journal fence, which
+// makes the cut wait for batches already journaled to finish applying.
 //
 // Recovery = newest valid checkpoint (falling back to older ones when the
 // newest is missing or corrupt) + replay of the WAL segments it points
@@ -135,7 +136,8 @@ type CheckpointStats struct {
 
 // Store persists an engine's stream. Append/Sync serve the write-ahead
 // log (Append is safe for concurrent use — it is the engine's Journal,
-// called under the engine's shard locks). Checkpoint atomically persists
+// called once per ingest call, outside the shard locks but inside the
+// engine's journal fence). Checkpoint atomically persists
 // a full sketch state and prunes the WAL prefix it covers; the state is
 // produced by the cut callback, which the backend invokes only AFTER it
 // has sealed the WAL position the checkpoint claims to cover (the file

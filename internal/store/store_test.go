@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -567,6 +569,206 @@ func TestCheckpointPrunesWAL(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stallingStore holds the first Append made after armed is set, once the
+// inner store has journaled it, until release is closed: the batch then
+// sits in the WAL but is not yet applied to the engine.
+type stallingStore struct {
+	Store
+	armed     atomic.Bool
+	journaled chan struct{}
+	release   chan struct{}
+}
+
+func (s *stallingStore) Append(batch []engine.Update) error {
+	if err := s.Store.Append(batch); err != nil {
+		return err
+	}
+	if s.armed.CompareAndSwap(true, false) {
+		close(s.journaled)
+		<-s.release
+	}
+	return nil
+}
+
+// TestCheckpointWaitsForJournaledBatch races a checkpoint against a batch
+// that is journaled into the segment the checkpoint rotates away from but
+// not yet applied. The cut must wait for the batch (the engine's journal
+// fence): the checkpoint prunes that segment, so a cut taken early would
+// lose the batch on recovery.
+func TestCheckpointWaitsForJournaledBatch(t *testing.T) {
+	dir := t.TempDir()
+	e := newEngine(t)
+	inner, err := Open(dir, Options{Fsync: FsyncNever, KeepCheckpoints: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &stallingStore{Store: inner, journaled: make(chan struct{}), release: make(chan struct{})}
+	p, _, err := Attach(e, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	if err := e.IngestBatch(randomUpdates(rng, 200)); err != nil {
+		t.Fatal(err)
+	}
+	stalled := randomUpdates(rng, 200)
+	for i := range stalled {
+		stalled[i].Key += 1000 // fresh keys: the batch must change the state
+	}
+	ss.armed.Store(true)
+	ingestErr := make(chan error, 1)
+	go func() { ingestErr <- e.IngestBatch(stalled) }()
+	<-ss.journaled
+
+	ckptErr := make(chan error, 1)
+	go func() {
+		_, err := p.Checkpoint()
+		ckptErr <- err
+	}()
+	// Once the WAL has rotated, the stalled record sits in a closed
+	// segment; an unfenced cut would now complete well inside the grace
+	// period.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(filepath.Join(dir, "wal-00000002.log")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("checkpoint never rotated the WAL")
+		}
+	}
+	select {
+	case err = <-ckptErr:
+		t.Error("checkpoint returned while a journaled batch was unapplied")
+		close(ss.release)
+	case <-time.After(200 * time.Millisecond):
+		close(ss.release)
+		err = <-ckptErr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ingestErr; err != nil {
+		t.Fatal(err)
+	}
+	want := EncodeState(e.DumpState())
+	if err := ss.Close(); err != nil { // crash-style: no final checkpoint
+		t.Fatal(err)
+	}
+	crash(p)
+
+	r := newEngine(t)
+	_, stats := attach(t, r, dir, Options{})
+	if stats.CheckpointSeq != 2 {
+		t.Fatalf("recovered from checkpoint %d, want 2", stats.CheckpointSeq)
+	}
+	if !bytes.Equal(EncodeState(r.DumpState()), want) {
+		t.Fatal("recovered state differs from the live engine: the checkpoint cut missed a journaled batch")
+	}
+}
+
+// TestConcurrentIngestAndCheckpoints runs journaled writers against a
+// checkpoint loop that prunes every closed segment; a crash-style
+// recovery must still reproduce the live engine exactly.
+func TestConcurrentIngestAndCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	e := newEngine(t)
+	p, _ := attach(t, e, dir, Options{Fsync: FsyncNever, KeepCheckpoints: 1})
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(20 + w)))
+			for i := 0; i < 40; i++ {
+				if err := e.IngestBatch(randomUpdates(rng, 50)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	checkpoints := make(chan int)
+	go func() {
+		n := 0
+		defer func() { checkpoints <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := p.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	if n := <-checkpoints; n == 0 {
+		t.Fatal("no checkpoint ran")
+	}
+	want := e.Snapshot()
+	if err := p.st.Close(); err != nil { // crash-style: no final checkpoint
+		t.Fatal(err)
+	}
+	r := newEngine(t)
+	attach(t, r, dir, Options{})
+	if !reflect.DeepEqual(r.Snapshot(), want) {
+		t.Fatal("recovery after concurrent ingest and checkpoints is not bit-identical")
+	}
+}
+
+// TestAppendRejectsOversizedBatch: a batch too large for one record is
+// refused before anything reaches the WAL, so recovery never meets a
+// record it would judge corrupt (and truncate the log at).
+func TestAppendRejectsOversizedBatch(t *testing.T) {
+	if 4+maxRecordUpdates*updateBytes > maxRecordBytes || 4+(maxRecordUpdates+1)*updateBytes <= maxRecordBytes {
+		t.Fatalf("maxRecordUpdates %d is not the largest batch a %d-byte record holds", maxRecordUpdates, maxRecordBytes)
+	}
+	dir := t.TempDir()
+	e := newEngine(t)
+	p, _ := attach(t, e, dir, Options{Fsync: FsyncNever})
+	if err := e.Ingest(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	seg := listFiles(t, dir, "wal-*.log")[0]
+	before, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zeroed and never written: the check runs before encoding, so the
+	// pages behind this slice are never touched.
+	if err := p.st.Append(make([]engine.Update, maxRecordUpdates+1)); err == nil {
+		t.Fatal("an oversized batch was accepted")
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("rejected batch wrote %d WAL bytes", after.Size()-before.Size())
+	}
+	if err := e.Ingest(1, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := e.Snapshot()
+	if err := p.st.Close(); err != nil { // crash-style: no final checkpoint
+		t.Fatal(err)
+	}
+
+	r := newEngine(t)
+	_, stats := attach(t, r, dir, Options{})
+	if stats.Records != 2 || stats.Truncated {
+		t.Fatalf("recovery %+v, want both records and no truncation", stats)
+	}
+	if !reflect.DeepEqual(r.Snapshot(), want) {
+		t.Fatal("recovery after a rejected oversized batch is not bit-identical")
 	}
 }
 

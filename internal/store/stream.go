@@ -88,6 +88,15 @@ func NewFrameScanner(r io.Reader) *FrameScanner {
 	return &FrameScanner{r: bufio.NewReaderSize(r, 64<<10)}
 }
 
+// Reset points the scanner at a new stream and keeps its buffers, so a
+// server can pool scanners instead of allocating a 64 KiB read buffer
+// per request. Reset(nil) drops the reference to the old stream.
+func (s *FrameScanner) Reset(r io.Reader) {
+	s.r.Reset(r)
+	s.started = false
+	s.frames = 0
+}
+
 // Frames reports how many frames have been decoded so far.
 func (s *FrameScanner) Frames() uint64 { return s.frames }
 

@@ -167,3 +167,36 @@ func TestFrameScannerReusesScratch(t *testing.T) {
 		t.Fatalf("steady-state Next allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// A Reset scanner forgets its old stream entirely — buffered bytes, the
+// header check and the frame count — so a pooled scanner never carries
+// one request's frames into the next.
+func TestFrameScannerReset(t *testing.T) {
+	first := streamBatches(3, 5)
+	second := streamBatches(4, 2)
+	sc := NewFrameScanner(bytes.NewReader(encodeStream(first)))
+	if _, err := sc.Next(); err != nil { // the rest of first stays buffered
+		t.Fatal(err)
+	}
+	sc.Reset(bytes.NewReader(encodeStream(second)))
+	for i, want := range second {
+		got, err := sc.Next()
+		if err != nil {
+			t.Fatalf("frame %d after Reset: %v", i, err)
+		}
+		if len(got) != len(want) || got[0] != want[0] || got[len(got)-1] != want[len(want)-1] {
+			t.Fatalf("frame %d after Reset: %+v, want %+v", i, got, want)
+		}
+	}
+	if _, err := sc.Next(); err != io.EOF {
+		t.Fatalf("end of reset stream: %v, want io.EOF", err)
+	}
+	if sc.Frames() != uint64(len(second)) {
+		t.Fatalf("Frames() = %d after Reset, want %d", sc.Frames(), len(second))
+	}
+	// The new stream must open with its own magic.
+	sc.Reset(bytes.NewReader(AppendFrame(nil, first[0])))
+	if _, err := sc.Next(); err == nil || err == io.EOF {
+		t.Fatalf("headerless stream after Reset: %v, want a magic error", err)
+	}
+}
